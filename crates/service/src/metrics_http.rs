@@ -41,17 +41,20 @@ pub struct MetricsServer {
     acceptor: Option<JoinHandle<()>>,
 }
 
+/// Sends the whole response (status line, headers, body) with one
+/// `write_all`, for the same reason the line frontend sends one write
+/// per reply (see [`crate::frontend`]).
 fn write_response(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
-    let _ = write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.flush();
+    let _ = stream.write_all(response.as_bytes());
 }
 
 fn serve_conn(service: Service, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,

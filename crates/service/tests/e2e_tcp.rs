@@ -5,7 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ceal_service::frontend::{FrontendConfig, TcpFrontend};
 use ceal_service::service::{Service, ServiceConfig};
@@ -20,6 +20,7 @@ struct Client {
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         let writer = stream.try_clone().expect("clone stream");
         Client {
             reader: BufReader::new(stream),
@@ -28,7 +29,9 @@ impl Client {
     }
 
     fn call(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("send");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("recv");
         reply.trim_end().to_string()
@@ -167,6 +170,51 @@ fn oversized_lines_are_cut_off() {
     }
     let mut fresh = Client::connect(frontend.addr());
     assert_eq!(fresh.call("ping"), "ok pong");
+    frontend.stop();
+    svc.shutdown();
+}
+
+/// A client with default socket options (Nagle on, ordinary delayed
+/// ACKs) that sends each request as one write gets each reply without
+/// waiting on its own delayed-ACK timer. Linux's minimum delayed-ACK
+/// timeout is 40 ms, so a p50 under half of that means no round trip
+/// waited on it: the bound is a protocol constant, not a machine speed.
+#[test]
+fn plain_socket_round_trips_do_not_wait_on_delayed_acks() {
+    let svc = Service::start(ServiceConfig {
+        shards: 2,
+        ..Default::default()
+    });
+    let frontend = TcpFrontend::spawn(svc.clone(), "127.0.0.1:0").expect("bind");
+    let stream = TcpStream::connect(frontend.addr()).expect("connect");
+    let mut reader = BufReader::new(&stream);
+    let mut call = |line: &str| {
+        (&stream)
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("recv");
+        assert!(reply.starts_with("ok "), "{line} -> {reply}");
+    };
+    call("open plain sum 64 9");
+    let mut rtts: Vec<Duration> = (0..50)
+        .map(|i| {
+            let line = if i % 2 == 0 {
+                format!("edit plain d{i}")
+            } else {
+                "observe plain".to_string()
+            };
+            let t = Instant::now();
+            call(&line);
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let p50 = rtts[rtts.len() / 2];
+    assert!(
+        p50 < Duration::from_millis(20),
+        "plain-client p50 round trip {p50:?}: replies wait on the delayed-ACK timer"
+    );
     frontend.stop();
     svc.shutdown();
 }

@@ -26,6 +26,7 @@ struct Conn {
 impl Conn {
     fn dial(addr: &str) -> std::io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Conn {
             reader: BufReader::new(stream),
@@ -34,7 +35,8 @@ impl Conn {
     }
 
     fn call(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
+        // One write per request line: see README "Running as a service".
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut reply = String::new();
         self.reader.read_line(&mut reply)?;
         let reply = reply.trim_end().to_string();
