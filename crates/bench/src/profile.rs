@@ -460,8 +460,14 @@ pub fn golden_path() -> PathBuf {
 /// Renders flattened counters as the golden file: valid JSON, one
 /// counter per line, so drift reviews are plain line diffs.
 pub fn render_golden(flat: &[(String, u64)]) -> String {
+    render_golden_schema("ceal-profile-golden/v1", flat)
+}
+
+/// [`render_golden`] under another schema string (the service golden
+/// shares the file shape and [`parse_golden`]).
+pub fn render_golden_schema(schema: &str, flat: &[(String, u64)]) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ceal-profile-golden/v1\",\n  \"counters\": {\n");
+    let _ = write!(s, "{{\n  \"schema\": \"{schema}\",\n  \"counters\": {{\n");
     for (i, (k, v)) in flat.iter().enumerate() {
         let _ = write!(s, "    \"{k}\": {v}");
         s.push_str(if i + 1 < flat.len() { ",\n" } else { "\n" });

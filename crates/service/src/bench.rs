@@ -1,5 +1,6 @@
 //! The deterministic load generator behind the `service-bench` binary
-//! and the `service-smoke` CI gate (`BENCH_service.json`).
+//! (in `ceal-bench`, which adds the golden-file gate) and the
+//! `service-smoke` CI gate (`BENCH_service.json`).
 //!
 //! Two passes over the same kind of splitmix64-seeded open-loop
 //! schedule:
@@ -8,10 +9,11 @@
 //!    scheduler: per tick, arrivals enter bounded per-shard queues
 //!    (overflow sheds), then each shard drains a fixed number of
 //!    requests via the *same* [`Shard::handle`] the threaded service
-//!    runs. Every service-tier counter — admitted, shed, evicted,
-//!    restored, snapshot bytes, replayed ops, aggregated engine deltas —
-//!    is a pure function of the schedule, so the flattened counters are
-//!    diffed against `crates/service/baselines/service_golden.json`
+//!    runs. Every service-tier counter — shed, evicted, restored,
+//!    snapshot bytes, replayed ops, aggregated engine deltas, requests
+//!    by kind — is a pure function of the schedule, so the rows
+//!    [`LockstepResult::rows`] reads from the shard registries are
+//!    diffed against `crates/bench/baselines/service_golden.json`
 //!    exactly like the runtime counter gate (wall clock excluded, same
 //!    rationale: shared runners can perturb time, not arithmetic).
 //!    The gate spec is fixed (512 sessions, 4 shards) regardless of
@@ -30,11 +32,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ceal_bench::prng::Prng;
-use ceal_runtime::telemetry::MetricsSnapshot;
+use ceal_runtime::prng::Prng;
 use ceal_runtime::Value;
 
-use crate::metrics::{merge_shards, ShardTelemetry, TelemetryConfig, REQ_KINDS};
+use crate::metrics::{merge_shards, sum_counters, ShardTelemetry, TelemetryConfig, REQ_KINDS};
 use crate::service::{route_key, Service, ServiceConfig};
 use crate::shard::{Shard, ShardConfig};
 use crate::wire::{EditOp, PolicyArg, Reply, Request, ServiceCounters, Workload};
@@ -169,20 +170,54 @@ pub fn build_schedule(spec: &LoadSpec) -> Vec<Vec<Request>> {
     ticks
 }
 
-/// Lockstep result: the gated deterministic counters plus the shape of
-/// the run.
+/// Lockstep result: the shard registries the run counted into, plus the
+/// shape of the run. Every figure is read from the registries.
 #[derive(Clone, Debug)]
 pub struct LockstepResult {
-    /// Aggregated deterministic service counters.
-    pub counters: ServiceCounters,
+    /// One registry per shard, in shard order.
+    pub tels: Vec<Arc<ShardTelemetry>>,
     /// Ticks simulated (ramp + steady + final drain).
     pub ticks: u64,
     /// Requests generated by the schedule.
     pub generated: u64,
-    /// Deterministic telemetry counter rows (`telemetry/<name>`), gated
-    /// alongside the service counters: the metrics registry must count
-    /// the same world the service counters do, on every platform.
-    pub telemetry: Vec<(String, u64)>,
+}
+
+impl LockstepResult {
+    /// Service counters summed over the shards.
+    pub fn counters(&self) -> ServiceCounters {
+        sum_counters(&self.tels)
+    }
+
+    /// The gate rows, read from the shard registries (summed over
+    /// shards): the [`ServiceCounters`] as `service/<name>`, then the
+    /// request counts by kind and the error and slow-request counts as
+    /// `telemetry/<name>`. `service/admitted` is left out because it is
+    /// the sum of the `telemetry/requests_*` rows. Wall-clock series
+    /// (histogram sums of microseconds) are deliberately absent — time
+    /// is never gated. The `/`-shaped keys let the runtime gate's golden
+    /// parser read the service golden too.
+    pub fn rows(&self) -> Vec<(String, u64)> {
+        let mut rows: Vec<(String, u64)> = ServiceCounters::NAMES
+            .iter()
+            .zip(self.counters().values())
+            .filter(|(name, _)| **name != "admitted")
+            .map(|(name, v)| (format!("service/{name}"), v))
+            .collect();
+        let snap = merge_shards(&self.tels);
+        for kind in REQ_KINDS {
+            rows.push((
+                format!("telemetry/requests_{}", kind.name()),
+                snap.counter_with_label("ceal_requests_total", "kind", kind.name()),
+            ));
+        }
+        for (row, metric) in [
+            ("errors", "ceal_errors_total"),
+            ("slow_requests", "ceal_slow_requests_total"),
+        ] {
+            rows.push((format!("telemetry/{row}"), snap.counter_total(metric)));
+        }
+        rows
+    }
 }
 
 /// The telemetry config the gated lockstep pass runs under: everything
@@ -195,30 +230,6 @@ pub const GATE_TELEMETRY: TelemetryConfig = TelemetryConfig {
     slow_log: false,
     top_sites: 3,
 };
-
-/// Extracts the gateable (count-only, deterministic) telemetry rows
-/// from a merged snapshot. Wall-clock series (histogram sums of
-/// microseconds) are deliberately absent — time is never gated.
-pub fn telemetry_rows(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
-    let mut rows = Vec::new();
-    for kind in REQ_KINDS {
-        rows.push((
-            format!("telemetry/requests_{}", kind.name()),
-            snap.counter_with_label("ceal_requests_total", "kind", kind.name()),
-        ));
-    }
-    for (row, metric) in [
-        ("shed", "ceal_shed_total"),
-        ("errors", "ceal_errors_total"),
-        ("slow_requests", "ceal_slow_requests_total"),
-        ("evicted", "ceal_sessions_evicted_total"),
-        ("restored", "ceal_sessions_restored_total"),
-        ("replayed_ops", "ceal_replayed_ops_total"),
-    ] {
-        rows.push((format!("telemetry/{row}"), snap.counter_total(metric)));
-    }
-    rows
-}
 
 /// Runs the schedule through the deterministic lockstep scheduler.
 ///
@@ -254,7 +265,6 @@ pub fn run_lockstep_cfg(spec: &LoadSpec, telemetry: TelemetryConfig) -> Lockstep
     // Sessions whose open was shed: their later requests legitimately
     // answer unknown-session, everything else must be ok.
     let mut lost_opens = std::collections::HashSet::new();
-    let mut shed = 0u64;
     let mut ticks = 0u64;
 
     let drain = |shards: &mut Vec<Shard>,
@@ -285,13 +295,10 @@ pub fn run_lockstep_cfg(spec: &LoadSpec, telemetry: TelemetryConfig) -> Lockstep
         for req in tick {
             let target = route_key(req.sid().expect("schedule requests are keyed"), spec.shards);
             if queues[target].len() >= spec.queue_cap {
-                shed += 1;
                 // Lockstep sheds happen driver-side (the queue is
-                // simulated); mirror them into the target shard's
-                // telemetry exactly as `Service::try_call` does.
-                if tels[target].on() {
-                    tels[target].shed.inc();
-                }
+                // simulated); count them into the target shard's
+                // registry exactly as `Service::try_call` does.
+                tels[target].shed.inc();
                 if let Request::Open { sid, .. } = req {
                     lost_opens.insert(sid.clone());
                 }
@@ -312,17 +319,10 @@ pub fn run_lockstep_cfg(spec: &LoadSpec, telemetry: TelemetryConfig) -> Lockstep
         drain(&mut shards, &mut queues, &lost_opens, None);
     }
 
-    let mut counters = ServiceCounters::default();
-    for s in &shards {
-        counters.add(s.counters());
-    }
-    counters.shed = shed;
-    let telemetry = telemetry_rows(&merge_shards(&tels));
     LockstepResult {
-        counters,
+        tels,
         ticks,
         generated,
-        telemetry,
     }
 }
 
@@ -346,22 +346,12 @@ pub fn overhead_probe(spec: &LoadSpec, trials: usize) -> (f64, f64) {
         let on = run_lockstep_cfg(spec, prod);
         best_on = best_on.min(t.elapsed().as_secs_f64());
         assert_eq!(
-            off.counters, on.counters,
+            off.counters(),
+            on.counters(),
             "telemetry must not perturb deterministic counters"
         );
     }
     (best_off, best_on)
-}
-
-/// Flattens the lockstep counters into gate rows (`service/<name>`).
-/// The `/`-shaped keys let [`ceal_bench::profile::parse_golden`] read
-/// the service golden with the same parser as the runtime golden.
-pub fn flatten_counters(c: &ServiceCounters) -> Vec<(String, u64)> {
-    ServiceCounters::NAMES
-        .iter()
-        .zip(c.values())
-        .map(|(name, v)| (format!("service/{name}"), v))
-        .collect()
 }
 
 /// Timed-pass report for one load rung.
@@ -597,8 +587,7 @@ pub fn render_json(
         "  \"lockstep\": {{ \"ticks\": {}, \"generated\": {}, \"counters\": {{",
         lockstep.ticks, lockstep.generated
     );
-    let mut flat = flatten_counters(&lockstep.counters);
-    flat.extend(lockstep.telemetry.iter().cloned());
+    let flat = lockstep.rows();
     for (i, (k, v)) in flat.iter().enumerate() {
         let comma = if i + 1 < flat.len() { "," } else { "" };
         let _ = writeln!(s, "    \"{k}\": {v}{comma}");
@@ -648,27 +637,6 @@ pub fn render_json(
     s
 }
 
-/// Renders the service golden file (same line-diff-friendly shape as
-/// the runtime profile golden, service schema string).
-pub fn render_golden(flat: &[(String, u64)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"ceal-service-golden/v1\",\n  \"counters\": {\n");
-    for (i, (k, v)) in flat.iter().enumerate() {
-        let _ = write!(s, "    \"{k}\": {v}");
-        s.push_str(if i + 1 < flat.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// The checked-in service golden, next to the crate sources.
-pub fn golden_path() -> std::path::PathBuf {
-    std::path::PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/baselines/service_golden.json"
-    ))
-}
-
 /// A tiny sanity probe used by tests: the sum-session oracle for the
 /// first generated session.
 pub fn expected_open_value(spec: &LoadSpec, i: usize) -> Value {
@@ -695,10 +663,15 @@ mod tests {
 
     #[test]
     fn lockstep_counters_are_reproducible_and_exercise_the_lifecycle() {
+        let _cpu = crate::cpu_lock();
         let r1 = run_lockstep(&GATE_SPEC);
         let r2 = run_lockstep(&GATE_SPEC);
-        assert_eq!(r1.counters, r2.counters, "lockstep must be deterministic");
-        let c = &r1.counters;
+        assert_eq!(
+            r1.counters(),
+            r2.counters(),
+            "lockstep must be deterministic"
+        );
+        let c = r1.counters();
         assert!(
             c.opened >= 500,
             "gate drives ≥500 sessions, got {}",
@@ -710,38 +683,48 @@ mod tests {
         assert!(c.snapshot_bytes > 0);
         assert!(c.replayed_ops > 0);
         assert_eq!(c.admitted + c.shed, r1.generated);
-        assert_eq!(
-            r1.telemetry, r2.telemetry,
-            "telemetry rows must be deterministic"
-        );
+        assert_eq!(r1.rows(), r2.rows(), "gate rows must be deterministic");
     }
 
     #[test]
     fn lockstep_telemetry_agrees_with_service_counters() {
+        let _cpu = crate::cpu_lock();
         let r = run_lockstep(&GATE_SPEC);
-        let rows: std::collections::HashMap<&str, u64> =
-            r.telemetry.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let c = &r.counters;
-        assert_eq!(rows["telemetry/requests_open"], c.opened);
-        assert_eq!(rows["telemetry/shed"], c.shed);
-        assert_eq!(rows["telemetry/evicted"], c.evicted);
-        assert_eq!(rows["telemetry/restored"], c.restored);
-        assert_eq!(rows["telemetry/replayed_ops"], c.replayed_ops);
-        // Every handled request is routed in lockstep (no stats probes),
-        // and the gate threshold is zero, so the slow counter covers all
-        // of them.
-        let handled: u64 = ["open", "edit", "observe", "close", "ping"]
+        let rows = r.rows();
+        let c = r.counters();
+        // Each fact is one row: the 16 service counters other than
+        // `admitted`, the five request kinds, errors and slow requests.
+        assert_eq!(rows.len(), 23);
+        let map: std::collections::HashMap<&str, u64> =
+            rows.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(map.len(), rows.len(), "duplicate gate row");
+        for (name, v) in ServiceCounters::NAMES.iter().zip(c.values()) {
+            match map.get(format!("service/{name}").as_str()) {
+                Some(&row) => assert_eq!(row, v, "service/{name}"),
+                None => assert_eq!(*name, "admitted"),
+            }
+        }
+        // `admitted` is the sum of the per-kind request rows; every
+        // request is routed in lockstep (no stats probes), and the gate
+        // threshold is zero, so the slow counter covers all of them.
+        let handled: u64 = REQ_KINDS
             .iter()
-            .map(|k| rows[format!("telemetry/requests_{k}").as_str()])
+            .map(|k| map[format!("telemetry/requests_{}", k.name()).as_str()])
             .sum();
         assert_eq!(handled, c.admitted);
-        assert_eq!(rows["telemetry/slow_requests"], handled);
+        assert_eq!(map["telemetry/requests_open"], c.opened);
+        assert_eq!(map["telemetry/slow_requests"], handled);
+        let snap = merge_shards(&r.tels);
+        assert_eq!(snap.counter_total("ceal_shed_total"), c.shed);
     }
 
     #[test]
     fn telemetry_off_matches_on_counters() {
+        let _cpu = crate::cpu_lock();
         // The overhead probe's correctness half, on a small spec: the
-        // deterministic counters are identical with telemetry on or off.
+        // registry counts the same whether telemetry is on or off. Only
+        // the slow path, which needs clock reads, is switched off — and
+        // so is every histogram.
         let spec = LoadSpec {
             sessions: 64,
             rounds: 3,
@@ -749,11 +732,23 @@ mod tests {
         };
         let on = run_lockstep_cfg(&spec, GATE_TELEMETRY);
         let off = run_lockstep_cfg(&spec, TelemetryConfig::disabled());
-        assert_eq!(on.counters, off.counters);
-        assert!(
-            off.telemetry.iter().all(|(_, v)| *v == 0),
-            "disabled telemetry must record nothing"
-        );
+        assert_eq!(on.counters(), off.counters());
+        let (on_rows, off_rows) = (on.rows(), off.rows());
+        assert_eq!(on_rows.len(), off_rows.len());
+        for ((name, on_v), (off_name, off_v)) in on_rows.iter().zip(&off_rows) {
+            assert_eq!(name, off_name);
+            if name == "telemetry/slow_requests" {
+                assert!(*on_v > 0, "the gate config takes the slow path");
+                assert_eq!(*off_v, 0, "disabled telemetry has no slow path");
+            } else {
+                assert_eq!(on_v, off_v, "{name}");
+            }
+        }
+        for series in &merge_shards(&off.tels).series {
+            if let ceal_runtime::telemetry::SeriesValue::Histogram(h) = &series.value {
+                assert_eq!(h.count, 0, "{} recorded with telemetry off", series.name);
+            }
+        }
     }
 
     #[test]
@@ -768,6 +763,7 @@ mod tests {
 
     #[test]
     fn timed_pass_smoke() {
+        let _cpu = crate::cpu_lock();
         // Tiny rung: this checks the machinery (pinning, pacing,
         // percentile plumbing), not performance.
         let spec = LoadSpec {

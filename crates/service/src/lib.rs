@@ -66,8 +66,8 @@
 //! Sessions evict to a compact, versioned snapshot format under a
 //! memory budget and restore transparently on the next request; see
 //! [`session`] and DESIGN.md §15. The deterministic load generator and
-//! its CI gate live in [`mod@bench`] (`service-bench` binary,
-//! `BENCH_service.json`).
+//! its CI gate live in [`mod@bench`] (driven by the `service-bench`
+//! binary of `ceal-bench`, `BENCH_service.json`).
 
 #![warn(missing_docs)]
 
@@ -89,3 +89,15 @@ pub use shard::{Shard, ShardConfig};
 pub use wire::{
     CounterDelta, EditOp, ErrKind, PolicyArg, Reply, Request, ServiceCounters, ShardStat, Workload,
 };
+
+/// One lock for the unit tests that load the CPU or start threads and
+/// for the wall-clock `bench::tests::timed_pass_smoke`, so the latter
+/// never shares a small runner's cores with them: its histogram-versus-
+/// stopwatch cross-check allows only 500 µs for the reply hop. A test
+/// that panics while holding it poisons nothing worth repairing (the
+/// lock guards no data), so the guard is recovered.
+#[cfg(test)]
+fn cpu_lock() -> std::sync::MutexGuard<'static, ()> {
+    static CPU: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    CPU.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -3,20 +3,27 @@
 //!
 //! One [`ShardTelemetry`] per shard, created by [`crate::Service`] and
 //! owned (via `Arc`) by both the shard worker and the service handle:
-//! the worker is the only *writer* on the request path, so the atomics
-//! in [`ceal_runtime::telemetry`] never bounce between cores; the
-//! service handle reads them only at scrape time, merging all shards'
-//! snapshots into one exposition
-//! ([`crate::Service::metrics_snapshot`]).
+//! the worker is the only *writer* on the request path (the frontend
+//! also bumps `shed` and `queue_depth` at admission), so the atomics in
+//! [`ceal_runtime::telemetry`] rarely bounce between cores; the service
+//! handle reads them at scrape time, merging all shards' snapshots into
+//! one exposition ([`crate::Service::metrics_snapshot`]).
 //!
-//! Two kinds of series live here on purpose:
+//! The registry is the service's **only counter store**: the `stats`
+//! verb, [`crate::Service::stats`], [`crate::Shard::counters`], the
+//! per-shard [`ShardStat`] rows and the lockstep gate all read the same
+//! atomics ([`ShardTelemetry::counters`], [`ShardTelemetry::stat`]).
+//! Two kinds of series live here:
 //!
-//! * **Deterministic counters** — request totals by kind, shed /
-//!   evict / restore, error and slow-request counts. In the lockstep
-//!   bench these are pure functions of the schedule and are gated
-//!   against `service_golden.json` (rows `telemetry/...`).
+//! * **Counters and gauges** — request totals by kind, the lifecycle
+//!   and edit counts behind [`ServiceCounters`], engine-work sums,
+//!   errors, queue depth and resident sessions. They always count,
+//!   whatever [`TelemetryConfig::enabled`] says; in the lockstep bench
+//!   they are pure functions of the schedule and are gated against
+//!   `service_golden.json`.
 //! * **Wall-clock series** — queue-wait / handle / restore / reply
-//!   histograms and the engine-segment timer. Reported, never gated.
+//!   histograms, the engine-segment timer and the slow-request path.
+//!   Recorded only when telemetry is enabled; reported, never gated.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -25,7 +32,7 @@ use ceal_runtime::telemetry::{
     Counter, Gauge, Histogram, MetricsSnapshot, Registry, SlowRequestRecord,
 };
 
-use crate::wire::Request;
+use crate::wire::{CounterDelta, Request, ServiceCounters, ShardStat};
 
 /// How many slow-request records each shard retains for inspection
 /// (`metrics.json` exposes them; the log line is the durable artifact).
@@ -35,9 +42,11 @@ pub const SLOW_RING_CAP: usize = 8;
 /// [`crate::ServiceConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryConfig {
-    /// Master switch. Off means the request path takes one predictable
-    /// branch per segment and records nothing (the baseline the
-    /// overhead gate compares against).
+    /// Clock switch. Off means the request path reads no clock: no
+    /// histogram samples, no slow-request path, no engine tracing (the
+    /// baseline the overhead gate compares against). Counters and
+    /// gauges count either way — they are the service's only record of
+    /// what it did.
     pub enabled: bool,
     /// Requests whose queue-wait + handle time reaches this many
     /// microseconds emit a [`SlowRequestRecord`]. `0` marks every
@@ -66,7 +75,7 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Everything off — the overhead-gate baseline.
+    /// Every clock-driven series off — the overhead-gate baseline.
     pub fn disabled() -> TelemetryConfig {
         TelemetryConfig {
             enabled: false,
@@ -141,6 +150,25 @@ impl ReqKind {
     }
 }
 
+/// The engine-work sums each shard keeps (name, help), in the order of
+/// [`CounterDelta`]'s fields and of the `engine_*` [`ServiceCounters`].
+const ENGINE_COUNTERS: [(&str, &str); 5] = [
+    (
+        "ceal_engine_reexec_total",
+        "Reads re-executed by propagation",
+    ),
+    ("ceal_engine_props_total", "Propagation passes run"),
+    (
+        "ceal_engine_memo_hits_total",
+        "Memo hits during re-execution",
+    ),
+    (
+        "ceal_engine_dirty_marks_total",
+        "Dirty marks recorded (demand policy)",
+    ),
+    ("ceal_engine_demand_cleans_total", "Demand-clean passes run"),
+];
+
 /// Per-request metadata stamped at admission and carried to the shard:
 /// the monotonic request id and the measured queue wait.
 #[derive(Clone, Copy, Debug, Default)]
@@ -168,12 +196,28 @@ pub struct ShardTelemetry {
     pub shed: Arc<Counter>,
     /// Requests at or over the slow threshold.
     pub slow_requests: Arc<Counter>,
+    /// Sessions opened.
+    pub opened: Arc<Counter>,
+    /// Sessions closed.
+    pub closed: Arc<Counter>,
+    /// Edit batches applied.
+    pub edit_batches: Arc<Counter>,
+    /// Edit ops that changed state.
+    pub edit_ops: Arc<Counter>,
+    /// Edit ops elided (already in the requested state).
+    pub elided_ops: Arc<Counter>,
+    /// Observations served.
+    pub observes: Arc<Counter>,
     /// Sessions evicted to snapshot bytes.
     pub evicted: Arc<Counter>,
     /// Sessions restored from snapshot bytes.
     pub restored: Arc<Counter>,
+    /// Snapshot bytes written by evictions.
+    pub snapshot_bytes: Arc<Counter>,
     /// History ops replayed by restores.
     pub replayed_ops: Arc<Counter>,
+    /// Engine-work sums, in [`ENGINE_COUNTERS`] order.
+    engine: [Arc<Counter>; 5],
 
     /// Requests currently queued for this shard.
     pub queue_depth: Arc<Gauge>,
@@ -226,60 +270,59 @@ impl ShardTelemetry {
                 &kind_labels(k),
             )
         });
+        let counter = |name: &str, help: &str| r.counter(name, help, &base);
+        let gauge = |name: &str, help: &str| r.gauge(name, help, &base);
+        let histogram = |name: &str, help: &str| r.histogram(name, help, &base);
         ShardTelemetry {
             requests,
             request_us,
-            errors: r.counter("ceal_errors_total", "Typed error replies", &base),
-            shed: r.counter(
+            errors: counter("ceal_errors_total", "Typed error replies"),
+            shed: counter(
                 "ceal_shed_total",
                 "Requests refused at admission (queue full)",
-                &base,
             ),
-            slow_requests: r.counter(
+            slow_requests: counter(
                 "ceal_slow_requests_total",
                 "Requests at or over the slow threshold",
-                &base,
             ),
-            evicted: r.counter(
+            opened: counter("ceal_sessions_opened_total", "Sessions opened"),
+            closed: counter("ceal_sessions_closed_total", "Sessions closed"),
+            edit_batches: counter("ceal_edit_batches_total", "Edit batches applied"),
+            edit_ops: counter("ceal_edit_ops_total", "Edit ops that changed state"),
+            elided_ops: counter(
+                "ceal_elided_ops_total",
+                "Edit ops already in the requested state",
+            ),
+            observes: counter("ceal_observes_total", "Observations served"),
+            evicted: counter(
                 "ceal_sessions_evicted_total",
                 "Sessions evicted to snapshot bytes",
-                &base,
             ),
-            restored: r.counter(
+            restored: counter(
                 "ceal_sessions_restored_total",
                 "Sessions restored from snapshot bytes",
-                &base,
             ),
-            replayed_ops: r.counter(
+            snapshot_bytes: counter(
+                "ceal_snapshot_bytes_total",
+                "Snapshot bytes written by evictions",
+            ),
+            replayed_ops: counter(
                 "ceal_replayed_ops_total",
                 "History ops replayed by restores",
-                &base,
             ),
-            queue_depth: r.gauge("ceal_queue_depth", "Requests queued for this shard", &base),
-            live_sessions: r.gauge("ceal_live_sessions", "Live (un-evicted) sessions", &base),
-            evicted_sessions: r.gauge(
-                "ceal_evicted_sessions",
-                "Sessions parked as snapshot bytes",
-                &base,
-            ),
-            live_bytes: r.gauge("ceal_live_bytes", "Estimated resident session bytes", &base),
-            queue_wait_us: r.histogram(
-                "ceal_queue_wait_us",
-                "Admission-queue wait, microseconds",
-                &base,
-            ),
-            handle_us: r.histogram("ceal_handle_us", "Shard handler time, microseconds", &base),
-            restore_us: r.histogram(
-                "ceal_restore_us",
-                "Snapshot-restore time, microseconds",
-                &base,
-            ),
-            engine_us: r.histogram(
+            engine: ENGINE_COUNTERS.map(|(name, help)| counter(name, help)),
+            queue_depth: gauge("ceal_queue_depth", "Requests queued for this shard"),
+            live_sessions: gauge("ceal_live_sessions", "Live (un-evicted) sessions"),
+            evicted_sessions: gauge("ceal_evicted_sessions", "Sessions parked as snapshot bytes"),
+            live_bytes: gauge("ceal_live_bytes", "Estimated resident session bytes"),
+            queue_wait_us: histogram("ceal_queue_wait_us", "Admission-queue wait, microseconds"),
+            handle_us: histogram("ceal_handle_us", "Shard handler time, microseconds"),
+            restore_us: histogram("ceal_restore_us", "Snapshot-restore time, microseconds"),
+            engine_us: histogram(
                 "ceal_engine_us",
                 "Engine segment (session op) time, microseconds",
-                &base,
             ),
-            reply_us: r.histogram("ceal_reply_us", "Reply-delivery time, microseconds", &base),
+            reply_us: histogram("ceal_reply_us", "Reply-delivery time, microseconds"),
             slow_ring: Mutex::new(VecDeque::with_capacity(SLOW_RING_CAP)),
             cfg,
             index,
@@ -297,7 +340,9 @@ impl ShardTelemetry {
         self.index
     }
 
-    /// `true` when the request path should record. One branch.
+    /// `true` when the request path should read clocks (histograms, the
+    /// slow path, engine tracing). Counters count regardless. One
+    /// branch.
     #[inline]
     pub fn on(&self) -> bool {
         self.cfg.enabled
@@ -311,6 +356,57 @@ impl ShardTelemetry {
     /// End-to-end latency histogram for `kind`.
     pub fn request_hist(&self, kind: ReqKind) -> &Histogram {
         &self.request_us[kind.index()]
+    }
+
+    /// Adds one request's engine work to the engine-work sums.
+    pub fn add_engine(&self, d: &CounterDelta) {
+        let values = [
+            d.reads_reexecuted,
+            d.propagations,
+            d.memo_hits,
+            d.dirty_marks,
+            d.demand_cleans,
+        ];
+        for (c, v) in self.engine.iter().zip(values) {
+            c.add(v);
+        }
+    }
+
+    /// This shard's service counters, read from the registry. `admitted`
+    /// is the sum of the per-kind request counters: every routed request
+    /// a shard handles was admitted, and nothing else is.
+    pub fn counters(&self) -> ServiceCounters {
+        let engine = |i: usize| self.engine[i].get();
+        ServiceCounters {
+            admitted: self.requests.iter().map(|c| c.get()).sum(),
+            shed: self.shed.get(),
+            opened: self.opened.get(),
+            closed: self.closed.get(),
+            edit_batches: self.edit_batches.get(),
+            edit_ops: self.edit_ops.get(),
+            elided_ops: self.elided_ops.get(),
+            observes: self.observes.get(),
+            evicted: self.evicted.get(),
+            restored: self.restored.get(),
+            snapshot_bytes: self.snapshot_bytes.get(),
+            replayed_ops: self.replayed_ops.get(),
+            engine_reexec: engine(0),
+            engine_props: engine(1),
+            engine_memo_hits: engine(2),
+            engine_dirty_marks: engine(3),
+            engine_demand_cleans: engine(4),
+        }
+    }
+
+    /// This shard's live gauges as a `stats` row.
+    pub fn stat(&self) -> ShardStat {
+        ShardStat {
+            shard: self.index as u32,
+            queue_depth: self.queue_depth.get(),
+            live_sessions: self.live_sessions.get(),
+            evicted_sessions: self.evicted_sessions.get(),
+            live_bytes: self.live_bytes.get(),
+        }
     }
 
     /// Records a slow request: counter, ring, and (if configured) the
@@ -349,6 +445,15 @@ pub fn merge_shards(tels: &[Arc<ShardTelemetry>]) -> MetricsSnapshot {
     let mut out = MetricsSnapshot::default();
     for t in tels {
         out.merge(&t.snapshot());
+    }
+    out
+}
+
+/// Service counters summed over every shard registry.
+pub(crate) fn sum_counters(tels: &[Arc<ShardTelemetry>]) -> ServiceCounters {
+    let mut out = ServiceCounters::default();
+    for t in tels {
+        out.add(t.counters());
     }
     out
 }
@@ -407,6 +512,30 @@ mod tests {
         assert_eq!(recs.len(), SLOW_RING_CAP);
         assert_eq!(recs[0].id, 5, "oldest records evicted first");
         assert_eq!(t.slow_requests.get(), SLOW_RING_CAP as u64 + 5);
+    }
+
+    #[test]
+    fn counters_and_stat_read_the_registry() {
+        let t = ShardTelemetry::new(2, TelemetryConfig::disabled());
+        t.requests(ReqKind::Open).inc();
+        t.requests(ReqKind::Edit).add(2);
+        t.shed.inc();
+        t.evicted.add(3);
+        t.add_engine(&CounterDelta {
+            reads_reexecuted: 5,
+            demand_cleans: 1,
+            ..Default::default()
+        });
+        t.live_sessions.set(4);
+        let c = t.counters();
+        assert_eq!(c.admitted, 3, "admitted is the sum over request kinds");
+        assert_eq!((c.shed, c.evicted), (1, 3));
+        assert_eq!((c.engine_reexec, c.engine_demand_cleans), (5, 1));
+        let snap = t.snapshot();
+        assert_eq!(snap.counter_total("ceal_engine_reexec_total"), 5);
+        assert_eq!(snap.counter_total("ceal_sessions_evicted_total"), 3);
+        let stat = t.stat();
+        assert_eq!((stat.shard, stat.live_sessions), (2, 4));
     }
 
     #[test]

@@ -185,6 +185,7 @@ mod tests {
 
     #[test]
     fn scrape_routes_and_content_types() {
+        let _cpu = crate::cpu_lock();
         let svc = Service::start(ServiceConfig {
             shards: 2,
             ..Default::default()

@@ -26,7 +26,9 @@ use std::time::Instant;
 
 use ceal_runtime::telemetry::MetricsSnapshot;
 
-use crate::metrics::{merge_shards, ReqKind, ReqMeta, ShardTelemetry, TelemetryConfig};
+use crate::metrics::{
+    merge_shards, sum_counters, ReqKind, ReqMeta, ShardTelemetry, TelemetryConfig,
+};
 use crate::shard::{Shard, ShardConfig};
 use crate::wire::{ErrKind, Reply, Request, ServiceCounters, ShardStat};
 
@@ -90,10 +92,10 @@ struct Inner {
     /// `None` after shutdown; taking it drops every queue sender, which
     /// is what tells the workers to drain and exit.
     handles: RwLock<Option<Vec<ShardHandle>>>,
-    sheds: Vec<AtomicU64>,
     joins: Mutex<Vec<JoinHandle<()>>>,
     shards: usize,
-    /// Per-shard metric registries, merged at scrape time.
+    /// Per-shard metric registries: the service's only counter store,
+    /// read by `stats` and merged at scrape time.
     tels: Vec<Arc<ShardTelemetry>>,
     /// Monotonic request id source (all frontends share it).
     next_id: AtomicU64,
@@ -109,10 +111,10 @@ pub struct Service {
 fn shard_worker(rx: Receiver<Job>, cfg: ShardConfig, tel: Arc<ShardTelemetry>) {
     let mut shard = Shard::with_telemetry(cfg, tel.clone());
     while let Ok(job) = rx.recv() {
+        tel.queue_depth.dec();
         let on = tel.on();
         let routed = ReqKind::of(&job.req).is_some();
         let queue_us = if on {
-            tel.queue_depth.dec();
             let us = job.enqueued.elapsed().as_micros() as u64;
             if routed {
                 tel.queue_wait_us.record(us);
@@ -149,7 +151,6 @@ impl Service {
         let shards = cfg.shards.max(1);
         let mut handles = Vec::with_capacity(shards);
         let mut joins = Vec::new();
-        let mut sheds = Vec::with_capacity(shards);
         let mut tels = Vec::with_capacity(shards);
         for i in 0..shards {
             let tel = Arc::new(ShardTelemetry::new(i, cfg.telemetry));
@@ -160,14 +161,12 @@ impl Service {
                 .spawn(move || shard_worker(rx, shard_cfg, worker_tel))
                 .expect("spawn shard worker");
             handles.push(ShardHandle { tx });
-            sheds.push(AtomicU64::new(0));
             tels.push(tel);
             joins.push(join);
         }
         Service {
             inner: Arc::new(Inner {
                 handles: RwLock::new(Some(handles)),
-                sheds,
                 joins: Mutex::new(joins),
                 shards,
                 tels,
@@ -184,8 +183,8 @@ impl Service {
     fn shard_of(&self, req: &Request) -> usize {
         match req.sid() {
             Some(sid) => route_key(sid, self.inner.shards),
-            // Keyless requests (ping) go to shard 0; `stats`
-            // aggregation fans out explicitly below.
+            // Keyless requests (ping) go to shard 0; `stats` and
+            // `metrics` never reach a shard.
             None => 0,
         }
     }
@@ -199,9 +198,8 @@ impl Service {
     /// its key) or fails now; it never blocks the caller.
     #[allow(clippy::result_large_err)]
     pub fn try_call(&self, req: Request) -> Result<Receiver<Reply>, Reply> {
-        // `stats` and `metrics` are not shard requests: they aggregate
-        // across every shard (plus the frontend-side shed counts no
-        // shard can see).
+        // `stats` and `metrics` are not shard requests: they read every
+        // shard's registry directly, without queueing behind traffic.
         if matches!(req, Request::Stats | Request::Metrics) {
             {
                 let guard = self.inner.handles.read().unwrap();
@@ -235,26 +233,19 @@ impl Service {
         // Inc the depth gauge *before* the send: the worker's dec on
         // dequeue must never race ahead of it (Gauge::dec saturates,
         // so the race would otherwise strand a phantom +1).
-        if tel.on() {
-            tel.queue_depth.inc();
-        }
+        tel.queue_depth.inc();
         match handles[shard].tx.try_send(job) {
             Ok(()) => Ok(reply_rx),
             Err(TrySendError::Full(_)) => {
-                self.inner.sheds[shard].fetch_add(1, Ordering::Relaxed);
-                if tel.on() {
-                    tel.queue_depth.dec();
-                    tel.shed.inc();
-                }
+                tel.queue_depth.dec();
+                tel.shed.inc();
                 Err(Reply::err(
                     ErrKind::Shed,
                     format!("shard {shard} queue full"),
                 ))
             }
             Err(TrySendError::Disconnected(_)) => {
-                if tel.on() {
-                    tel.queue_depth.dec();
-                }
+                tel.queue_depth.dec();
                 Err(Reply::err(ErrKind::Shutdown, "service stopped"))
             }
         }
@@ -271,68 +262,20 @@ impl Service {
         }
     }
 
-    /// Aggregated deterministic counters across all shards, including
-    /// frontend-side shed counts (sheds never reach a shard, so shard
-    /// counters cannot see them).
+    /// Service counters summed over every shard registry, sheds
+    /// included (the frontend counts them into the target shard's
+    /// registry). A read of atomics: it sends nothing to any shard, so it
+    /// never waits behind queued traffic and never counts itself.
     pub fn stats(&self) -> ServiceCounters {
-        self.stats_detailed().0
+        sum_counters(&self.inner.tels)
     }
 
     /// [`Service::stats`] plus the per-shard gauge breakdown reported
     /// in the `stats` wire reply (queue depth, live/evicted sessions,
     /// resident bytes), ordered by shard index.
     pub fn stats_detailed(&self) -> (ServiceCounters, Vec<ShardStat>) {
-        let mut total = ServiceCounters::default();
-        let mut rows = Vec::new();
-        let mut receivers = Vec::new();
-        {
-            let guard = self.inner.handles.read().unwrap();
-            if let Some(handles) = guard.as_ref() {
-                for (i, h) in handles.iter().enumerate() {
-                    let (reply_tx, reply_rx) = sync_channel(1);
-                    // Blocking send: `stats` participates in queue order
-                    // but is never itself shed. Depth inc precedes the
-                    // send (see try_call).
-                    let on = self.inner.tels[i].on();
-                    if on {
-                        self.inner.tels[i].queue_depth.inc();
-                    }
-                    let sent =
-                        h.tx.send(Job {
-                            req: Request::Stats,
-                            reply: reply_tx,
-                            id: 0,
-                            enqueued: Instant::now(),
-                        })
-                        .is_ok();
-                    if sent {
-                        receivers.push(reply_rx);
-                    } else if on {
-                        self.inner.tels[i].queue_depth.dec();
-                    }
-                }
-            }
-        }
-        for rx in receivers {
-            if let Ok(Reply::Stats {
-                counters: c,
-                shards: mut shard_rows,
-            }) = rx.recv()
-            {
-                // Shard-side `admitted` counts every request the worker
-                // processed, including these per-shard Stats probes; back
-                // them out so `stats()` is observation-only.
-                let mut c = c;
-                c.admitted -= 1;
-                total.add(&c);
-                rows.append(&mut shard_rows);
-            }
-        }
-        for s in &self.inner.sheds {
-            total.shed += s.load(Ordering::Relaxed);
-        }
-        rows.sort_by_key(|r| r.shard);
-        (total, rows)
+        let rows = self.inner.tels.iter().map(|t| t.stat()).collect();
+        (self.stats(), rows)
     }
 
     /// Merged metrics snapshot across every shard registry. Lock-free
@@ -365,6 +308,7 @@ mod tests {
 
     #[test]
     fn routed_sessions_process_in_order() {
+        let _cpu = crate::cpu_lock();
         let svc = Service::start(ServiceConfig {
             shards: 3,
             ..Default::default()
@@ -416,6 +360,33 @@ mod tests {
     }
 
     #[test]
+    fn stats_reads_do_not_count_themselves() {
+        let _cpu = crate::cpu_lock();
+        // A `stats` read is not a request: repeated reads agree with
+        // each other and with the registry's request count.
+        let svc = Service::start(ServiceConfig {
+            shards: 3,
+            ..Default::default()
+        });
+        assert_eq!(svc.call(Request::Ping), Reply::Pong);
+        let requests = || svc.metrics_snapshot().counter_total("ceal_requests_total");
+        for _ in 0..3 {
+            assert_eq!(svc.stats().admitted, 1);
+            assert_eq!(requests(), 1);
+        }
+        // The wire verb reads the same registers.
+        for _ in 0..2 {
+            let Reply::Stats { counters, shards } = svc.call(Request::Stats) else {
+                panic!("stats verb failed")
+            };
+            assert_eq!(counters, svc.stats());
+            assert_eq!(shards.len(), 3);
+        }
+        assert_eq!(svc.stats().admitted, requests());
+        svc.shutdown();
+    }
+
+    #[test]
     fn routing_is_stable_and_total() {
         for shards in [1usize, 2, 4, 7] {
             for key in ["a", "tenant-123", "zz.9"] {
@@ -428,6 +399,7 @@ mod tests {
 
     #[test]
     fn shutdown_disconnects_every_clone() {
+        let _cpu = crate::cpu_lock();
         let svc = Service::start(ServiceConfig {
             shards: 1,
             ..Default::default()

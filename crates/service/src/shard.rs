@@ -7,13 +7,18 @@
 //! stable hash of the session key) and processed one at a time on that
 //! shard's thread. `Shard::handle` itself is plain synchronous code —
 //! the same function runs under the threaded [`crate::Service`], under
-//! the deterministic lockstep driver in `service-bench`, and in unit
+//! the deterministic lockstep driver in [`crate::bench`], and in unit
 //! tests, which is what makes the service-tier counters gateable.
 //!
 //! Under a memory budget the shard evicts least-recently-used sessions
 //! to snapshot bytes ([`crate::session`]); the next request against an
 //! evicted key transparently restores it (counted, and flagged on the
 //! wire so tenants can attribute tail latency).
+//!
+//! A shard keeps no counters of its own: everything it counts goes
+//! straight into its [`ShardTelemetry`] registry, which is what
+//! [`Shard::counters`], [`Shard::stat`] and the service-wide `stats`
+//! read.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +28,7 @@ use ceal_runtime::telemetry::SlowRequestRecord;
 
 use crate::metrics::{ReqKind, ReqMeta, ShardTelemetry, TelemetryConfig};
 use crate::session::{ProgramCache, Session, SessionSpec};
-use crate::wire::{ErrKind, Reply, Request, ServiceCounters, ShardStat};
+use crate::wire::{CounterDelta, ErrKind, Reply, Request, ServiceCounters, ShardStat};
 
 /// Per-shard configuration.
 #[derive(Clone, Copy, Debug)]
@@ -68,12 +73,11 @@ pub struct Shard {
     cfg: ShardConfig,
     sessions: HashMap<String, Slot>,
     programs: ProgramCache,
-    counters: ServiceCounters,
     /// Monotonic request clock for LRU stamps.
     now: u64,
-    /// Cached sum of live sessions' `mem_bytes` estimates; refreshed
-    /// for the touched session on every request.
-    live_bytes: usize,
+    /// Each live session's last `mem_bytes` estimate; their sum is the
+    /// `live_bytes` gauge, refreshed for the touched session on every
+    /// request.
     mem_cache: HashMap<String, usize>,
     tel: Arc<ShardTelemetry>,
     scratch: ReqScratch,
@@ -94,9 +98,7 @@ impl Shard {
             cfg,
             sessions: HashMap::new(),
             programs: ProgramCache::default(),
-            counters: ServiceCounters::default(),
             now: 0,
-            live_bytes: 0,
             mem_cache: HashMap::new(),
             tel,
             scratch: ReqScratch::default(),
@@ -110,19 +112,13 @@ impl Shard {
 
     /// This shard's live gauges, as reported in the `stats` reply.
     pub fn stat(&self) -> ShardStat {
-        let live = self.live_count();
-        ShardStat {
-            shard: self.tel.shard_index() as u32,
-            queue_depth: self.tel.queue_depth.get(),
-            live_sessions: live as u64,
-            evicted_sessions: (self.session_count() - live) as u64,
-            live_bytes: self.live_bytes as u64,
-        }
+        self.tel.stat()
     }
 
-    /// Deterministic service counters accumulated by this shard.
-    pub fn counters(&self) -> &ServiceCounters {
-        &self.counters
+    /// Deterministic service counters accumulated by this shard, read
+    /// from its registry.
+    pub fn counters(&self) -> ServiceCounters {
+        self.tel.counters()
     }
 
     /// Number of hosted sessions (live + evicted).
@@ -140,17 +136,19 @@ impl Shard {
 
     /// Current estimate of resident session bytes.
     pub fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.tel.live_bytes.get() as usize
     }
 
     fn note_mem(&mut self, sid: &str, bytes: usize) {
         let old = self.mem_cache.insert(sid.to_string(), bytes).unwrap_or(0);
-        self.live_bytes = self.live_bytes - old + bytes;
+        let live = self.live_bytes() - old + bytes;
+        self.tel.live_bytes.set(live as u64);
     }
 
     fn drop_mem(&mut self, sid: &str) {
         if let Some(old) = self.mem_cache.remove(sid) {
-            self.live_bytes -= old;
+            let live = self.live_bytes() - old;
+            self.tel.live_bytes.set(live as u64);
         }
     }
 
@@ -166,17 +164,15 @@ impl Shard {
                 let (mut session, replayed) = Session::restore(bytes, &mut self.programs)
                     .map_err(|e| Reply::err(ErrKind::Snapshot, e.to_string()))?;
                 session.last_used = self.now;
-                self.counters.restored += 1;
-                self.counters.replayed_ops += replayed;
+                self.tel.restored.inc();
+                self.tel.replayed_ops.add(replayed);
+                self.tel.live_sessions.inc();
+                self.tel.evicted_sessions.dec();
                 // Restores replay history through the normal request
                 // paths; fold the replay's engine work into the
                 // service-tier aggregate so restore cost is visible.
-                let c = session.counters();
-                self.counters.engine_reexec += c.reads_reexecuted;
-                self.counters.engine_props += c.propagations;
-                self.counters.engine_memo_hits += c.memo_hits;
-                self.counters.engine_dirty_marks += c.dirty_marks;
-                self.counters.engine_demand_cleans += c.demand_cleans;
+                self.tel
+                    .add_engine(&CounterDelta::from_counters(&session.counters()));
                 if self.tel.on() && self.tel.config().top_sites > 0 {
                     session.enable_tracing();
                 }
@@ -189,10 +185,6 @@ impl Shard {
                     self.scratch.restore_us = us;
                     self.scratch.restored = true;
                     self.tel.restore_us.record(us);
-                    self.tel.restored.inc();
-                    self.tel.replayed_ops.add(replayed);
-                    self.tel.live_sessions.inc();
-                    self.tel.evicted_sessions.dec();
                 }
                 Ok(true)
             }
@@ -202,7 +194,7 @@ impl Shard {
     /// Evicts least-recently-used live sessions until the live estimate
     /// fits the budget. The most recent session (`keep`) survives.
     fn enforce_budget(&mut self, keep: &str) {
-        while self.live_bytes > self.cfg.mem_budget_bytes {
+        while self.live_bytes() > self.cfg.mem_budget_bytes {
             let victim = self
                 .sessions
                 .iter()
@@ -216,15 +208,12 @@ impl Shard {
                 unreachable!()
             };
             let bytes = sess.snapshot();
-            self.counters.evicted += 1;
-            self.counters.snapshot_bytes += bytes.len() as u64;
+            self.tel.evicted.inc();
+            self.tel.snapshot_bytes.add(bytes.len() as u64);
+            self.tel.live_sessions.dec();
+            self.tel.evicted_sessions.inc();
             self.sessions.insert(victim.clone(), Slot::Evicted(bytes));
             self.drop_mem(&victim);
-            if self.tel.on() {
-                self.tel.evicted.inc();
-                self.tel.live_sessions.dec();
-                self.tel.evicted_sessions.inc();
-            }
         }
     }
 
@@ -245,30 +234,31 @@ impl Shard {
     /// [`Shard::handle`] with request-tracing metadata attached by the
     /// admission layer: the frontend-stamped request id and how long the
     /// job waited in the shard queue. Routed kinds (open/edit/observe/
-    /// close/ping) are counted, timed into the per-kind histograms, and
-    /// checked against the slow-request threshold; service-level probes
-    /// (`stats`, `metrics`) pass through untimed so scrape traffic never
-    /// pollutes the request-latency series.
+    /// close/ping) are counted — their sum is `admitted` — and, with
+    /// telemetry enabled, timed into the per-kind histograms and checked
+    /// against the slow-request threshold; service-level probes
+    /// (`stats`, `metrics`) pass through uncounted and untimed so scrape
+    /// traffic never pollutes the request series.
     pub fn handle_traced(&mut self, req: &Request, meta: ReqMeta) -> Reply {
         self.now += 1;
-        self.counters.admitted += 1;
         self.scratch = ReqScratch::default();
         let kind = ReqKind::of(req);
         let start = (self.tel.on() && kind.is_some()).then(Instant::now);
         let reply = self.dispatch(req);
+        if let Some(kind) = kind {
+            self.tel.requests(kind).inc();
+            if !reply.is_ok() {
+                self.tel.errors.inc();
+            }
+        }
         if let (Some(start), Some(kind)) = (start, kind) {
             let handle_us = start.elapsed().as_micros() as u64;
             let total_us = meta.queue_us.saturating_add(handle_us);
-            self.tel.requests(kind).inc();
             self.tel.handle_us.record(handle_us);
             self.tel.request_hist(kind).record(total_us);
             if matches!(kind, ReqKind::Open | ReqKind::Edit | ReqKind::Observe) {
                 self.tel.engine_us.record(self.scratch.engine_us);
             }
-            if !reply.is_ok() {
-                self.tel.errors.inc();
-            }
-            self.tel.live_bytes.set(self.live_bytes as u64);
             let slow = total_us >= self.tel.config().slow_threshold_us;
             let k = self.tel.config().top_sites;
             // Tracing sessions accumulate phase slices and site tallies
@@ -314,7 +304,7 @@ impl Shard {
         match req {
             Request::Ping => Reply::Pong,
             Request::Stats => Reply::Stats {
-                counters: self.counters,
+                counters: self.counters(),
                 shards: vec![self.stat()],
             },
             Request::Metrics => Reply::Metrics(self.tel.snapshot().to_json(true)),
@@ -343,13 +333,12 @@ impl Shard {
                 let t = self.tel.on().then(Instant::now);
                 let mut session = Session::open(spec, &mut self.programs);
                 session.last_used = self.now;
-                self.counters.opened += 1;
-                let c = session.counters();
-                self.counters.engine_props += c.propagations;
-                self.counters.engine_memo_hits += c.memo_hits;
+                self.tel.opened.inc();
+                self.tel.live_sessions.inc();
+                self.tel
+                    .add_engine(&CounterDelta::from_counters(&session.counters()));
                 if let Some(t) = t {
                     self.scratch.engine_us += t.elapsed().as_micros() as u64;
-                    self.tel.live_sessions.inc();
                     if self.tel.config().top_sites > 0 {
                         session.enable_tracing();
                     }
@@ -381,14 +370,10 @@ impl Shard {
                 if let Some(t) = t {
                     self.scratch.engine_us += t.elapsed().as_micros() as u64;
                 }
-                self.counters.edit_batches += 1;
-                self.counters.edit_ops += u64::from(applied);
-                self.counters.elided_ops += u64::from(elided);
-                self.counters.engine_reexec += counters.reads_reexecuted;
-                self.counters.engine_props += counters.propagations;
-                self.counters.engine_memo_hits += counters.memo_hits;
-                self.counters.engine_dirty_marks += counters.dirty_marks;
-                self.counters.engine_demand_cleans += counters.demand_cleans;
+                self.tel.edit_batches.inc();
+                self.tel.edit_ops.add(u64::from(applied));
+                self.tel.elided_ops.add(u64::from(elided));
+                self.tel.add_engine(&counters);
                 self.note_mem(sid, bytes);
                 self.enforce_budget(sid);
                 Reply::Edited {
@@ -411,12 +396,8 @@ impl Shard {
                 if let Some(t) = t {
                     self.scratch.engine_us += t.elapsed().as_micros() as u64;
                 }
-                self.counters.observes += 1;
-                self.counters.engine_reexec += counters.reads_reexecuted;
-                self.counters.engine_props += counters.propagations;
-                self.counters.engine_memo_hits += counters.memo_hits;
-                self.counters.engine_dirty_marks += counters.dirty_marks;
-                self.counters.engine_demand_cleans += counters.demand_cleans;
+                self.tel.observes.inc();
+                self.tel.add_engine(&counters);
                 self.note_mem(sid, bytes);
                 self.enforce_budget(sid);
                 Reply::Observed {
@@ -429,14 +410,12 @@ impl Shard {
                 let Some(slot) = self.sessions.remove(sid) else {
                     return Reply::err(ErrKind::UnknownSession, sid);
                 };
-                if self.tel.on() {
-                    match slot {
-                        Slot::Live(_) => self.tel.live_sessions.dec(),
-                        Slot::Evicted(_) => self.tel.evicted_sessions.dec(),
-                    }
+                match slot {
+                    Slot::Live(_) => self.tel.live_sessions.dec(),
+                    Slot::Evicted(_) => self.tel.evicted_sessions.dec(),
                 }
                 self.drop_mem(sid);
-                self.counters.closed += 1;
+                self.tel.closed.inc();
                 Reply::Closed
             }
         }
@@ -462,6 +441,7 @@ mod tests {
 
     #[test]
     fn eviction_is_transparent_to_clients() {
+        let _cpu = crate::cpu_lock();
         // A budget small enough for roughly one live session forces
         // every session switch through an evict/restore cycle.
         let mut shard = Shard::new(ShardConfig {
@@ -503,6 +483,10 @@ mod tests {
             shard.counters().evicted,
             shard.counters().restored + deficit(&shard)
         );
+        // The registry's gauges track the slots exactly.
+        let stat = shard.stat();
+        assert_eq!(stat.live_sessions, shard.live_count() as u64);
+        assert_eq!(stat.evicted_sessions, deficit(&shard));
     }
 
     /// Evictions minus restores = sessions currently parked.

@@ -23,6 +23,7 @@
 //! (`reexec=`, `props=`, ...), extending the observability layer to the
 //! service tier: a client can see what an edit *cost*.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use ceal_runtime::{OpCounters, Value};
@@ -235,13 +236,15 @@ impl CounterDelta {
     }
 }
 
-/// Deterministic service-tier counters, aggregated across shards by
-/// [`crate::Service::stats`] and gated in CI like the runtime counter
-/// golden (wall clock excluded; every one of these is a pure function
-/// of the request schedule in lockstep mode).
+/// Deterministic service-tier counters: the `stats` reply's view of the
+/// shard registries ([`crate::ShardTelemetry::counters`]), summed across
+/// shards by [`crate::Service::stats`]. A read, never a store — every
+/// field is a registry counter (wall clock excluded; each is a pure
+/// function of the request schedule in lockstep mode).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceCounters {
-    /// Requests admitted into a shard queue.
+    /// Requests admitted into a shard queue (the sum of the per-kind
+    /// `ceal_requests_total` counters).
     pub admitted: u64,
     /// Requests refused because a shard queue was full.
     pub shed: u64,
@@ -323,10 +326,11 @@ impl ServiceCounters {
         ]
     }
 
-    /// Component-wise sum.
-    pub fn add(&mut self, other: &ServiceCounters) {
+    /// Component-wise sum. Takes the other side by value or by
+    /// reference ([`crate::Shard::counters`] returns a fresh read).
+    pub fn add(&mut self, other: impl Borrow<ServiceCounters>) {
         let mut v = self.values();
-        for (a, b) in v.iter_mut().zip(other.values()) {
+        for (a, b) in v.iter_mut().zip(other.borrow().values()) {
             *a += b;
         }
         let [admitted, shed, opened, closed, edit_batches, edit_ops, elided_ops, observes, evicted, restored, snapshot_bytes, replayed_ops, engine_reexec, engine_props, engine_memo_hits, engine_dirty_marks, engine_demand_cleans] =
@@ -728,7 +732,7 @@ mod tests {
             restored: 5,
             ..Default::default()
         };
-        a.add(&b);
+        a.add(b);
         assert_eq!(a.admitted, 11);
         assert_eq!(a.evicted, 2);
         assert_eq!(a.restored, 5);
